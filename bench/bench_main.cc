@@ -1,8 +1,8 @@
 // Custom google-benchmark main for the micro suites: peels a
 // --threads=N flag off argv (sizing the shared par::ThreadPool) before
-// handing the rest to the benchmark runner. This is what lets
-// scripts/bench_snapshot.sh run the same suite at --threads=1 and
-// --threads=N and report the speedup.
+// handing the rest to the benchmark runner, so the same suite runs at
+// --threads=1 and --threads=N. The repository's end-to-end and per-layer
+// benchmark is perfbench/ (perfbench/README.md).
 
 #include <benchmark/benchmark.h>
 

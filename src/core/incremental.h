@@ -61,6 +61,17 @@ struct AddRecordStats {
   size_t prefilter_dropped = 0;  // candidates removed by the sketch filter
   size_t lru_hits = 0;           // text-cache hits across the candidates
   size_t lru_misses = 0;         // text-cache misses (entries computed)
+
+  AddRecordStats& operator+=(const AddRecordStats& other) {
+    candidates += other.candidates;
+    candidates_us += other.candidates_us;
+    prefilter_us += other.prefilter_us;
+    score_us += other.score_us;
+    prefilter_dropped += other.prefilter_dropped;
+    lru_hits += other.lru_hits;
+    lru_misses += other.lru_misses;
+    return *this;
+  }
 };
 
 /// One accepted link, with the score the shard router ranks by: the
@@ -76,7 +87,7 @@ struct ScoredMatch {
 /// concurrent callers must serialize every AddRecord call — and any
 /// dataset() read that can race with one — behind a single mutex or a
 /// single owning thread. The serving layer (serve::LinkService) funnels
-/// all access through one mutex and the server's single linker thread;
+/// all access through one mutex and its shard node's linker thread;
 /// tests/serve_test.cc asserts that concurrent batched access through
 /// the server stays consistent (no torn reads, record count equals the
 /// requests accepted).

@@ -73,7 +73,7 @@ void WriteTimelineJson(std::ostream& out, const RequestTimeline& t) {
   out << ",\"rank_us\":";
   AppendUs(out, t.rank_us);
   if (t.shards_touched > 0) {
-    // Scatter-gather requests only, so unsharded dumps keep their shape.
+    // Scatter-gather (link) requests only; other endpoints stay compact.
     out << ",\"scatter_us\":";
     AppendUs(out, t.scatter_us);
     out << ",\"shard_link_us\":";

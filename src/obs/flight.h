@@ -40,7 +40,7 @@ struct RequestTimeline {
   char endpoint[24] = {0};  // request path, truncated
   int status = 0;
   bool degraded = false;
-  std::uint32_t batch_size = 0;  // entities in the linker batch
+  std::uint32_t batch_size = 0;  // entities in the request
   double start_us = 0.0;         // TraceNowUs() at request start
   double parse_us = 0.0;
   double queue_wait_us = 0.0;
@@ -53,8 +53,8 @@ struct RequestTimeline {
   std::uint64_t lru_hits = 0;
   std::uint64_t lru_misses = 0;
   double rank_us = 0.0;
-  // Sharded serving only (all 0 on the unsharded path): the
-  // scatter-gather split of the link phase, plus the request's fan-out.
+  // Link requests only (0 elsewhere): the scatter-gather split of the
+  // link phase, plus the request's fan-out.
   double scatter_us = 0.0;
   double shard_link_us = 0.0;
   double gather_us = 0.0;

@@ -17,8 +17,8 @@
 // is given).
 //
 // Thread-safety: Enable/Disable bracket serving; every other member is
-// safe to call concurrently (the linker thread and per-shard node
-// threads all feed the same runtime).
+// safe to call concurrently (the per-shard node threads and the router
+// all feed the same runtime).
 
 #include <atomic>
 #include <cstdint>

@@ -1,13 +1,14 @@
 #ifndef SKYEX_SERVE_BREAKER_H_
 #define SKYEX_SERVE_BREAKER_H_
 
-// Circuit breaker around the linker: when the recent link-job failure
-// rate (deadline expiries, linker faults, watchdog trips) blows the
-// budget, the breaker opens and the server sheds /v1/link* load with
-// 503 + a *jittered* Retry-After — deterministic backoff would herd
-// every shed client back in the same instant. After `open_ms` the
-// breaker admits a single half-open probe; its outcome decides between
-// closing again and another open period.
+// Circuit breaker around a shard's linker: when the recent link-job
+// failure rate (deadline expiries, linker faults, watchdog trips) blows
+// the budget, the breaker opens and the router stops sending the shard
+// work; requests that need only it shed with 503 + a *jittered*
+// Retry-After (deterministic backoff would herd every shed client back
+// in the same instant). After `open_ms` the breaker admits a single
+// half-open probe; its outcome decides between closing again and
+// another open period.
 
 #include <cstdint>
 #include <mutex>

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <optional>
 #include <utility>
 
@@ -10,14 +11,11 @@
 #include "core/pipeline.h"
 #include "core/skyex_t.h"
 #include "features/feature_schema.h"
-#include "geo/distance.h"
 #include "geo/quadflex.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "quality/quality.h"
-#include "text/jaro.h"
-#include "text/normalize.h"
 
 namespace skyex::serve {
 
@@ -177,101 +175,47 @@ void WriteLinkResultJson(json::Writer* writer, const LinkResult& result,
   writer->EndObject();
 }
 
-LinkService::DegradedEntry LinkService::MakeDegradedEntry(
-    const data::SpatialEntity& e) {
-  DegradedEntry entry;
-  entry.id = e.id;
-  entry.source = std::string(data::SourceName(e.source));
-  entry.name = e.name;
-  entry.normalized_name = text::Normalize(e.name);
-  entry.location = e.location;
-  return entry;
+LinkResult RankAndMerge(std::vector<ScoredLink> links,
+                        const data::SpatialEntity& entity,
+                        size_t record_index) {
+  std::sort(links.begin(), links.end(),
+            [](const ScoredLink& a, const ScoredLink& b) {
+              if (a.score != b.score) return a.score > b.score;
+              if (a.snapshot.id != b.snapshot.id) {
+                return a.snapshot.id < b.snapshot.id;
+              }
+              return a.record < b.record;
+            });
+  LinkResult result;
+  result.record_index = record_index;
+  result.links.reserve(links.size());
+  std::vector<const data::SpatialEntity*> cluster;
+  cluster.reserve(links.size() + 1);
+  for (const ScoredLink& link : links) {
+    result.links.push_back(LinkedRecord{
+        link.record, link.snapshot.id, link.snapshot.name,
+        std::string(data::SourceName(link.snapshot.source))});
+    cluster.push_back(&link.snapshot);
+  }
+  cluster.push_back(&entity);
+  result.merged = core::MergeRecords(cluster);
+  return result;
 }
 
 LinkService::LinkService(core::IncrementalLinker linker,
-                         std::string model_text,
-                         DegradedOptions degraded_options)
-    : linker_(std::move(linker)),
-      model_text_(std::move(model_text)),
-      degraded_options_(degraded_options) {
-  const data::Dataset& dataset = linker_.dataset();
-  degraded_index_.reserve(dataset.size());
-  for (const data::SpatialEntity& e : dataset.entities) {
-    degraded_index_.push_back(MakeDegradedEntry(e));
-  }
-}
+                         std::string model_text)
+    : linker_(std::move(linker)), model_text_(std::move(model_text)) {}
 
 std::vector<LinkResult> LinkService::LinkMany(
-    const std::vector<data::SpatialEntity>& entities,
-    LinkBatchStats* stats) {
+    const std::vector<data::SpatialEntity>& entities) {
   SKYEX_SPAN("serve/link_batch");
   std::vector<LinkResult> results;
   results.reserve(entities.size());
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const data::SpatialEntity& entity : entities) {
-      LinkResult result;
-      core::AddRecordStats add_stats;
-#if !defined(SKYEX_OBS_DISABLED)
-      // Linkage-quality hooks (no-ops until skyex_serve enables the
-      // quality runtime): entity-level drift observation for every
-      // request, full decision capture for sampled ones.
-      quality::Runtime& quality_runtime = quality::Runtime::Global();
-      quality_runtime.ObserveEntity(entity);
-      quality::MatchCapture capture;
-      const bool capturing = quality_runtime.ShouldCapture();
-      std::vector<core::ScoredMatch> matches = linker_.MatchRecord(
-          entity, stats != nullptr ? &add_stats : nullptr,
-          capturing ? &capture : nullptr);
-      if (capturing) {
-        quality_runtime.RecordCapture(entity, shard_id_, std::move(capture));
-      }
-#else
-      std::vector<core::ScoredMatch> matches = linker_.MatchRecord(
-          entity, stats != nullptr ? &add_stats : nullptr);
-#endif
-      linker_.Append(entity);
-      if (stats != nullptr) {
-        stats->extract_us += add_stats.candidates_us + add_stats.prefilter_us;
-        stats->prefilter_us += add_stats.prefilter_us;
-        stats->rank_us += add_stats.score_us;
-        stats->prefilter_dropped += add_stats.prefilter_dropped;
-        stats->lru_hits += add_stats.lru_hits;
-        stats->lru_misses += add_stats.lru_misses;
-      }
-      const data::Dataset& dataset = linker_.dataset();
-      result.record_index = dataset.size() - 1;
-      // Rank exactly like the shard router's gather, so `--shards=1`
-      // serializes the same bytes as this path.
-      std::sort(matches.begin(), matches.end(),
-                [&dataset](const core::ScoredMatch& a,
-                           const core::ScoredMatch& b) {
-                  return LinkRankBefore(a.score, dataset[a.index].id, a.index,
-                                        b.score, dataset[b.index].id, b.index);
-                });
-      result.links.reserve(matches.size());
-      std::vector<const data::SpatialEntity*> cluster;
-      cluster.reserve(matches.size() + 1);
-      for (const core::ScoredMatch& m : matches) {
-        result.links.push_back(LinkedRecord{
-            m.index, dataset[m.index].id, dataset[m.index].name,
-            std::string(data::SourceName(dataset[m.index].source))});
-        cluster.push_back(&dataset[m.index]);
-      }
-      cluster.push_back(&dataset[result.record_index]);
-      result.merged = core::MergeRecords(cluster);
-      SKYEX_COUNTER_INC("serve/link_requests");
-      SKYEX_COUNTER_ADD("serve/linked_records", matches.size());
-      results.push_back(std::move(result));
-    }
-  }
-  // Mirror the new records into the degraded index outside the linker
-  // lock, so degraded readers only ever contend on this short append.
-  {
-    std::lock_guard<std::mutex> lock(degraded_mutex_);
-    for (const data::SpatialEntity& entity : entities) {
-      degraded_index_.push_back(MakeDegradedEntry(entity));
-    }
+  for (const data::SpatialEntity& entity : entities) {
+    std::vector<ScoredLink> links = MatchScored(entity, /*persist=*/true);
+    // The only writer: the entity just appended is the last record.
+    results.push_back(
+        RankAndMerge(std::move(links), entity, record_count() - 1));
   }
   return results;
 }
@@ -280,79 +224,33 @@ std::vector<ScoredLink> LinkService::MatchScored(
     const data::SpatialEntity& entity, bool persist,
     core::AddRecordStats* stats) {
   SKYEX_SPAN("serve/match_scored");
-  std::vector<ScoredLink> links;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
+  std::lock_guard<std::mutex> lock(mutex_);
 #if !defined(SKYEX_OBS_DISABLED)
-    // Shard-path quality hooks. Entity drift is observed on the owner
-    // only (persist == true) so a scatter to k shards counts once.
-    quality::Runtime& quality_runtime = quality::Runtime::Global();
-    if (persist) quality_runtime.ObserveEntity(entity);
-    quality::MatchCapture capture;
-    const bool capturing = quality_runtime.ShouldCapture();
-    const std::vector<core::ScoredMatch> matches =
-        linker_.MatchRecord(entity, stats, capturing ? &capture : nullptr);
-    if (capturing) {
-      quality_runtime.RecordCapture(entity, shard_id_, std::move(capture));
-    }
+  // Linkage-quality hooks (no-ops until skyex_serve enables the quality
+  // runtime): entity drift is observed on the owner only (persist ==
+  // true) so a scatter to k shards counts once; sampled requests get
+  // full decision capture.
+  quality::Runtime& quality_runtime = quality::Runtime::Global();
+  if (persist) quality_runtime.ObserveEntity(entity);
+  quality::MatchCapture capture;
+  const bool capturing = quality_runtime.ShouldCapture();
+  const std::vector<core::ScoredMatch> matches =
+      linker_.MatchRecord(entity, stats, capturing ? &capture : nullptr);
+  if (capturing) {
+    quality_runtime.RecordCapture(entity, shard_id_, std::move(capture));
+  }
 #else
-    const std::vector<core::ScoredMatch> matches =
-        linker_.MatchRecord(entity, stats);
+  const std::vector<core::ScoredMatch> matches =
+      linker_.MatchRecord(entity, stats);
 #endif
-    const data::Dataset& dataset = linker_.dataset();
-    links.reserve(matches.size());
-    for (const core::ScoredMatch& m : matches) {
-      links.push_back(ScoredLink{m.index, m.score, dataset[m.index]});
-    }
-    if (persist) linker_.Append(entity);
+  const data::Dataset& dataset = linker_.dataset();
+  std::vector<ScoredLink> links;
+  links.reserve(matches.size());
+  for (const core::ScoredMatch& m : matches) {
+    links.push_back(ScoredLink{m.index, m.score, dataset[m.index]});
   }
-  if (persist) {
-    std::lock_guard<std::mutex> lock(degraded_mutex_);
-    degraded_index_.push_back(MakeDegradedEntry(entity));
-  }
+  if (persist) linker_.Append(entity);
   return links;
-}
-
-std::vector<LinkResult> LinkService::LinkDegraded(
-    const std::vector<data::SpatialEntity>& entities) const {
-  SKYEX_SPAN("serve/link_degraded");
-  std::vector<LinkResult> results;
-  results.reserve(entities.size());
-  std::lock_guard<std::mutex> lock(degraded_mutex_);
-  for (const data::SpatialEntity& entity : entities) {
-#if !defined(SKYEX_OBS_DISABLED)
-    // Degraded answers audit as decision-less records: the entity was
-    // served but the model never scored it.
-    quality::Runtime& quality_runtime = quality::Runtime::Global();
-    quality_runtime.ObserveEntity(entity);
-    if (quality_runtime.ShouldCapture()) {
-      quality_runtime.RecordDegraded(entity, shard_id_);
-    }
-#endif
-    LinkResult result;
-    result.degraded = true;
-    // Where the record *would* land; nothing is actually appended.
-    result.record_index = degraded_index_.size();
-    const std::string normalized = text::Normalize(entity.name);
-    for (size_t i = 0; i < degraded_index_.size(); ++i) {
-      const DegradedEntry& entry = degraded_index_[i];
-      if (entity.location.valid && entry.location.valid &&
-          geo::HaversineMeters(entity.location, entry.location) >
-              degraded_options_.radius_m) {
-        continue;
-      }
-      const double f_sim =
-          text::JaroWinklerSimilarity(normalized, entry.normalized_name);
-      if (f_sim >= degraded_options_.f_sim_threshold) {
-        result.links.push_back(
-            LinkedRecord{i, entry.id, entry.name, entry.source});
-      }
-    }
-    result.merged = entity;
-    SKYEX_COUNTER_INC("serve/degraded_links");
-    results.push_back(std::move(result));
-  }
-  return results;
 }
 
 size_t LinkService::record_count() const {
@@ -362,11 +260,11 @@ size_t LinkService::record_count() const {
 
 namespace {
 
-/// Global calibration shared by both bootstrap paths: validated model,
+/// Global calibration behind every bootstrap: validated model,
 /// full-corpus extractor, feature matrix over the blocked pairs, and
 /// the accepted (positively labeled) rows the acceptance threshold is
-/// calibrated from. Computed ONCE on the full dataset even when serving
-/// sharded, so every shard links with the same decision boundary.
+/// calibrated from. Computed ONCE on the full dataset, so every shard
+/// links with the same decision boundary.
 struct Calibration {
   std::optional<features::LgmXExtractor> extractor;
   ml::FeatureMatrix features;
@@ -435,47 +333,49 @@ core::SkyExTModel CloneModel(const core::SkyExTModel& model) {
 
 }  // namespace
 
-std::unique_ptr<LinkService> BootstrapLinkService(
-    data::Dataset dataset, core::SkyExTModel model,
-    const core::IncrementalLinkerOptions& options, std::string* error) {
-  SKYEX_SPAN("serve/bootstrap");
-  Calibration cal;
-  if (!Calibrate(dataset, model, &cal, error)) return nullptr;
-  std::string model_text = core::SaveModel(model);
-  core::IncrementalLinker linker(std::move(dataset),
-                                 std::move(*cal.extractor), std::move(model),
-                                 cal.features, cal.accepted, options);
-  return std::make_unique<LinkService>(std::move(linker),
-                                       std::move(model_text));
-}
-
 std::vector<std::unique_ptr<LinkService>> BootstrapShardedLinkServices(
     data::Dataset dataset, core::SkyExTModel model,
     const core::IncrementalLinkerOptions& options,
     const std::vector<std::vector<size_t>>& partitions,
     std::string* model_text, std::string* error) {
-  SKYEX_SPAN("serve/bootstrap_sharded");
+  SKYEX_SPAN("serve/bootstrap");
   Calibration cal;
   if (!Calibrate(dataset, model, &cal, error)) return {};
   const std::string text = core::SaveModel(model);
   if (model_text != nullptr) *model_text = text;
   std::vector<std::unique_ptr<LinkService>> services;
   services.reserve(partitions.size());
-  for (const std::vector<size_t>& partition : partitions) {
+  for (size_t s = 0; s < partitions.size(); ++s) {
     data::Dataset slice;
-    slice.entities.reserve(partition.size());
-    for (size_t i : partition) slice.entities.push_back(dataset[i]);
+    slice.entities.reserve(partitions[s].size());
+    for (size_t i : partitions[s]) {
+      slice.entities.push_back(std::move(dataset.entities[i]));
+    }
     // Every shard gets the full-corpus extractor and the globally
-    // calibrated threshold; only the record partition differs.
-    core::IncrementalLinker linker(std::move(slice), *cal.extractor,
-                                   CloneModel(model), cal.features,
-                                   cal.accepted, options);
+    // calibrated threshold; only the record partition differs. The
+    // last shard takes the originals.
+    const bool last = s + 1 == partitions.size();
+    core::IncrementalLinker linker(
+        std::move(slice),
+        last ? std::move(*cal.extractor) : *cal.extractor,
+        last ? std::move(model) : CloneModel(model), cal.features,
+        cal.accepted, options);
     services.push_back(
         std::make_unique<LinkService>(std::move(linker), text));
-    services.back()->set_shard_id(
-        static_cast<uint32_t>(services.size() - 1));
+    services.back()->set_shard_id(static_cast<uint32_t>(s));
   }
   return services;
+}
+
+std::unique_ptr<LinkService> BootstrapLinkService(
+    data::Dataset dataset, core::SkyExTModel model,
+    const core::IncrementalLinkerOptions& options, std::string* error) {
+  std::vector<size_t> everything(dataset.size());
+  std::iota(everything.begin(), everything.end(), size_t{0});
+  std::vector<std::unique_ptr<LinkService>> services =
+      BootstrapShardedLinkServices(std::move(dataset), std::move(model),
+                                   options, {everything}, nullptr, error);
+  return services.empty() ? nullptr : std::move(services.front());
 }
 
 }  // namespace skyex::serve

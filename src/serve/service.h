@@ -5,16 +5,8 @@
 // response structs with their JSON forms, a thread-safe wrapper around
 // core::IncrementalLinker (whose AddRecord mutates the dataset and must
 // be serialized — see core/incremental.h), and the bootstrap that
-// turns a dataset + saved model into a calibrated linker.
-//
-// Besides the full linker path, the service maintains a *degraded
-// index*: immutable snapshots (id, source, normalized name, location)
-// of every linked record, guarded by its own mutex. When the full path
-// is unavailable — deadline expired, linker wedged, breaker open — the
-// server can still answer from this index with a cheap
-// threshold-on-f_sim match (Jaro-Winkler on normalized names, gated by
-// a Haversine radius). Degraded answers are read-only (nothing is
-// persisted) and marked "degraded":true in the response.
+// turns a dataset + saved model into calibrated linkers, one per shard
+// of the serving deployment (src/shard/).
 
 #include <cstdint>
 #include <memory>
@@ -56,22 +48,13 @@ struct ScoredLink {
   data::SpatialEntity snapshot;
 };
 
-/// Deterministic link ranking shared by the unsharded path and the
-/// shard router's gather: strongest score first, ties broken by entity
-/// id, then by (global) record index. Keeping one comparator is what
-/// makes `--shards=1` responses byte-identical to the unsharded server.
-inline bool LinkRankBefore(double score_a, uint64_t id_a, size_t record_a,
-                           double score_b, uint64_t id_b, size_t record_b) {
-  if (score_a != score_b) return score_a > score_b;
-  if (id_a != id_b) return id_a < id_b;
-  return record_a < record_b;
-}
-
-/// Knobs of the degraded fallback matcher.
-struct DegradedOptions {
-  double f_sim_threshold = 0.9;  // Jaro-Winkler on normalized names
-  double radius_m = 500.0;       // Haversine gate when both have coords
-};
+/// Ranks `links` deterministically — strongest score first, ties
+/// broken by entity id, then by record index — and merges the golden
+/// record of {entity} ∪ links. Shared by the shard router's gather and
+/// LinkService::LinkMany, so both answer with the same bytes.
+LinkResult RankAndMerge(std::vector<ScoredLink> links,
+                        const data::SpatialEntity& entity,
+                        size_t record_index);
 
 /// Parses {"entity": {...}} / an entity object into `out`. `name` is
 /// required; everything else optional ("source" accepts the names from
@@ -89,35 +72,19 @@ void WriteEntityJson(json::Writer* writer, const data::SpatialEntity& e);
 void WriteLinkResultJson(json::Writer* writer, const LinkResult& result,
                          const std::string* request_id = nullptr);
 
-/// Batch-level phase timing of LinkMany, for the flight recorder:
-/// `extract_us` sums the candidate scans plus the stage-1 text-state
-/// lookup + sketch pre-filter, `rank_us` the LGM-X scoring +
-/// skyline-key acceptance, across the whole batch. `prefilter_us`
-/// breaks the stage-1 share out of `extract_us`; the counts aggregate
-/// the linker's per-record AddRecordStats.
-struct LinkBatchStats {
-  double extract_us = 0.0;
-  double prefilter_us = 0.0;
-  double rank_us = 0.0;
-  size_t prefilter_dropped = 0;
-  size_t lru_hits = 0;
-  size_t lru_misses = 0;
-};
-
 /// Serializes IncrementalLinker access behind one mutex — the write
-/// contract of core/incremental.h. All linkage performed by the server
-/// funnels through LinkMany (one lock acquisition per micro-batch).
+/// contract of core/incremental.h. In the server each shard node's
+/// worker thread is the service's only caller.
 class LinkService {
  public:
-  LinkService(core::IncrementalLinker linker, std::string model_text,
-              DegradedOptions degraded_options = {});
+  LinkService(core::IncrementalLinker linker, std::string model_text);
 
-  /// Links each entity in order against the (growing) dataset. One
-  /// batch = one lock hold = one linker pass. `stats` (optional)
-  /// receives the batch's phase timings.
+  /// Links each entity in order against the (growing) dataset:
+  /// MatchScored(persist = true), then RankAndMerge, so record indices
+  /// are local to this service. The in-process reference for what the
+  /// served path answers; not for use alongside another writer.
   std::vector<LinkResult> LinkMany(
-      const std::vector<data::SpatialEntity>& entities,
-      LinkBatchStats* stats = nullptr);
+      const std::vector<data::SpatialEntity>& entities);
 
   /// Shard-side half of a scatter-gather link: scores `entity` against
   /// this service's dataset and returns the accepted links (ascending
@@ -128,70 +95,49 @@ class LinkService {
                                       bool persist,
                                       core::AddRecordStats* stats = nullptr);
 
-  /// Read-only fallback: matches each entity against the degraded
-  /// index by name similarity + radius gate. Never touches the linker
-  /// or its mutex, so it stays responsive while the linker is wedged.
-  /// Results carry degraded = true and are NOT persisted.
-  std::vector<LinkResult> LinkDegraded(
-      const std::vector<data::SpatialEntity>& entities) const;
-
   size_t record_count() const;
 
   /// SaveModel text of the served model (immutable after construction).
   const std::string& model_text() const { return model_text_; }
 
-  /// Shard identity stamped into audit records (0 unsharded). Set once
-  /// at bootstrap, before serving starts.
+  /// Shard identity stamped into audit records. Set once at bootstrap,
+  /// before serving starts.
   void set_shard_id(uint32_t shard_id) { shard_id_ = shard_id; }
   uint32_t shard_id() const { return shard_id_; }
 
  private:
-  struct DegradedEntry {
-    uint64_t id = 0;
-    std::string source;
-    std::string name;             // original, for the response
-    std::string normalized_name;  // match key
-    geo::GeoPoint location;
-  };
-  static DegradedEntry MakeDegradedEntry(const data::SpatialEntity& e);
-
   mutable std::mutex mutex_;
   core::IncrementalLinker linker_;
   const std::string model_text_;
   uint32_t shard_id_ = 0;
-
-  // Separate mutex: a wedged linker thread stalls inside mutex_, and
-  // the degraded path must not queue behind it.
-  mutable std::mutex degraded_mutex_;
-  std::vector<DegradedEntry> degraded_index_;
-  const DegradedOptions degraded_options_;
 };
 
-/// Builds a LinkService from a dataset and a trained model: blocks the
-/// dataset (QuadFlex with coordinates, Cartesian without), extracts
-/// LGM-X features, labels every pair with the model, and calibrates the
-/// incremental linker's acceptance threshold on the accepted pairs.
-/// Rejects models whose preference reads feature indices outside the
-/// LGM-X schema (a corrupt or mismatched model file would otherwise
-/// read out of bounds on every request). nullptr + `error` when the
-/// model is unusable or no pair is accepted.
-std::unique_ptr<LinkService> BootstrapLinkService(
-    data::Dataset dataset, core::SkyExTModel model,
-    const core::IncrementalLinkerOptions& options, std::string* error);
-
-/// Sharded variant: runs the SAME global calibration once on the full
-/// dataset, then builds one LinkService per partition, each holding its
-/// partition's records plus the full-corpus extractor and the global
-/// acceptance threshold (so a pair links on a shard iff it would link
-/// unsharded). `partitions[s]` lists dataset indices owned by shard s —
-/// every index in exactly one partition, original order preserved.
-/// `model_text` (optional) receives the served model text. Empty vector
-/// + `error` on failure.
+/// Builds one LinkService per partition of a dataset and a trained
+/// model: blocks the FULL dataset (QuadFlex with coordinates, Cartesian
+/// without), extracts LGM-X features, labels every pair with the model,
+/// and calibrates the incremental linkers' acceptance threshold on the
+/// accepted pairs — once, so every partition links with the same
+/// decision boundary (a pair links on a shard iff it links on one
+/// shard holding everything). Each service holds its partition's
+/// records plus the full-corpus extractor. `partitions[s]` lists the
+/// dataset indices owned by shard s — every index in exactly one
+/// partition, original order preserved. `model_text` (optional)
+/// receives the served model text. Rejects models whose preference
+/// reads feature indices outside the LGM-X schema (a corrupt or
+/// mismatched model file would otherwise read out of bounds on every
+/// request). Empty vector + `error` when the model is unusable or no
+/// pair is accepted.
 std::vector<std::unique_ptr<LinkService>> BootstrapShardedLinkServices(
     data::Dataset dataset, core::SkyExTModel model,
     const core::IncrementalLinkerOptions& options,
     const std::vector<std::vector<size_t>>& partitions,
     std::string* model_text, std::string* error);
+
+/// The one-partition case of BootstrapShardedLinkServices. nullptr +
+/// `error` on failure.
+std::unique_ptr<LinkService> BootstrapLinkService(
+    data::Dataset dataset, core::SkyExTModel model,
+    const core::IncrementalLinkerOptions& options, std::string* error);
 
 }  // namespace skyex::serve
 

@@ -2,26 +2,29 @@
 #define SKYEX_SHARD_ROUTER_H_
 
 // Scatter-gather router over geo-partitioned shard nodes — the
-// serve::ShardBackend implementation behind `skyex_serve --shards=N`.
+// serve::ShardBackend behind every `skyex_serve` (`--shards=N`, N >= 1;
+// one shard covers the whole corpus).
 //
 // Per entity: scatter to every shard whose cells intersect the
 // candidate radius (owner always included; coordinate-less entities
 // fan out everywhere), wait for the shard replies under the request
 // deadline, then gather — concatenate the global-indexed links, rank
-// deterministically (score desc, then entity id, then record index;
-// the same comparator as the unsharded path), and merge the golden
-// record from the gathered snapshots. A shard lost to its breaker,
-// queue, deadline, or fault injection degrades the result
-// ("degraded":true, partial links) instead of failing the request;
-// only when EVERY target is lost does the result fall back to the
-// bare entity. Entities of one batch are processed sequentially, so a
-// batch's earlier entities are matchable by its later ones — the same
-// intra-batch semantics as the unsharded linker.
+// and merge them with serve::RankAndMerge. Each target either answers,
+// refuses (its queue is full or its breaker is open), or is lost (the
+// deadline passed, it is wedged, or it failed). A first entity every
+// target refused ends the request before anything is persisted: 429
+// when every refusal was a full queue, 503 otherwise. Any other loss
+// or refusal degrades the result ("degraded":true, partial links; the
+// bare entity when no target answered). Entities of one request are
+// processed sequentially, so a batch's earlier entities are matchable
+// by its later ones; consecutive entities whose only target is the
+// same shard travel as one job (a whole batch, at one shard).
 //
-// The router runs its own watchdog: a shard whose worker stops
+// The router runs the watchdog: a shard whose worker stops
 // heartbeating while work is pending is marked wedged, its breaker is
-// forced open (scatter stops paying the deadline for it), and a
-// flight-recorder event is logged. Recovery clears the mark.
+// forced open (scatter stops paying the deadline for it), and
+// `watchdog_trip` + `shard_wedged` flight-recorder events are logged.
+// Recovery clears the mark.
 
 #include <atomic>
 #include <cstdint>
@@ -44,17 +47,19 @@ struct RouterOptions {
   ShardMapOptions map;
   /// A shard busy (or with queued work) whose heartbeat is older than
   /// this is wedged; 0 disables the watchdog.
-  int watchdog_ms = 2000;
+  int watchdog_ms = 0;
 };
 
 class Router : public serve::ShardBackend {
  public:
   /// `radius_m` must equal the shards' linker candidate radius — it
-  /// bounds the scatter target set. `initial_records` seeds the global
-  /// index counter (appends start after the bootstrap dataset).
+  /// bounds the scatter target set. `next_index` is the global index
+  /// counter the nodes persist from (it starts at the bootstrap
+  /// dataset's size).
   Router(std::unique_ptr<ShardMap> map,
          std::vector<std::unique_ptr<ShardNode>> nodes,
-         std::string model_text, double radius_m, size_t initial_records,
+         std::string model_text, double radius_m,
+         std::shared_ptr<std::atomic<size_t>> next_index,
          RouterOptions options);
   ~Router() override;
 
@@ -62,15 +67,23 @@ class Router : public serve::ShardBackend {
   void Stop();
 
   // serve::ShardBackend:
-  std::vector<serve::LinkResult> Link(
-      const std::vector<data::SpatialEntity>& entities, int deadline_ms,
-      serve::ShardPhases* phases) override;
+  serve::LinkOutcome Link(const std::vector<data::SpatialEntity>& entities,
+                          serve::Deadline deadline,
+                          std::vector<serve::LinkResult>* results,
+                          serve::ShardPhases* phases) override;
   size_t record_count() const override;
+  size_t queue_depth() const override;
   size_t num_shards() const override { return nodes_.size(); }
   const std::string& model_text() const override { return model_text_; }
   bool wedged() const override;
   void PublishGauges() const override;
   uint64_t breaker_opens() const override;
+  uint64_t watchdog_trips() const override {
+    return watchdog_trips_.load(std::memory_order_relaxed);
+  }
+  int RetryAfterSeconds(size_t shard) override {
+    return nodes_[shard]->breaker().RetryAfterSeconds();
+  }
 
   ShardNode& node(size_t s) { return *nodes_[s]; }
   const ShardMap& map() const { return *map_; }
@@ -83,8 +96,9 @@ class Router : public serve::ShardBackend {
   const std::string model_text_;
   const double radius_m_;
   const RouterOptions options_;
-  std::atomic<size_t> next_index_;
+  const std::shared_ptr<std::atomic<size_t>> next_index_;
   std::atomic<bool> stopping_{false};
+  std::atomic<uint64_t> watchdog_trips_{0};
   std::vector<uint64_t> seen_opens_;  // watchdog thread only
   std::thread watchdog_;
   bool started_ = false;

@@ -15,7 +15,7 @@
 //
 // Records without coordinates cannot be placed spatially; they all
 // live on shard 0, and queries without coordinates fan out to every
-// shard (the cartesian-fallback analogue of the unsharded linker).
+// shard (the cartesian-fallback analogue of a coordinate-less corpus).
 
 #include <cstddef>
 #include <memory>
@@ -54,7 +54,7 @@ class ShardMap {
   /// Shards that could hold a record within `radius_m` of `p`, owner
   /// included — the scatter target set. Sorted, unique. An invalid `p`
   /// returns every shard (a coordinate-less query must scan the whole
-  /// corpus, like the unsharded cartesian fallback).
+  /// corpus, like the linker's cartesian fallback).
   std::vector<size_t> ShardsIntersecting(const geo::GeoPoint& p,
                                          double radius_m) const;
 

@@ -11,9 +11,10 @@
 //   1. The kernel-equivalence property tests pin the optimized (branch-light /
 //      scratch-arena / SIMD) kernels bit-identical to these, at every dispatch
 //      level. "Bit-identical" means exact double equality, not a tolerance.
-//   2. `bench_snapshot.sh --extract` boots a server with
-//      `--reference-kernels` so the "before" leg of BENCH_extract.json
-//      measures the true pre-optimization extraction cost on the same build.
+//   2. `text::SetKernelImpl(KernelImpl::kReference)` (or
+//      SKYEX_TEXT_KERNELS=reference) swaps them in, so a measurement can
+//      take the true pre-optimization extraction cost on the same build;
+//      perfbench/README.md describes the repository's benchmark.
 //
 // Do not optimize anything in this namespace.
 

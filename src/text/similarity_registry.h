@@ -31,8 +31,9 @@ SimilarityFn FindSimilarity(std::string_view name);
 /// Which kernel implementations the registry hands out. kOptimized is the
 /// default (branch-light / scratch-arena / SIMD-dispatched); kReference is
 /// the frozen pre-optimization scalar set (text/reference.h), used by the
-/// equivalence tests and as the honest "before" leg of bench_snapshot.sh
-/// --extract. The two produce bit-identical scores; only speed differs.
+/// equivalence tests and as an honest "before" baseline for measurements
+/// (perfbench/README.md). The two produce bit-identical scores; only
+/// speed differs.
 enum class KernelImpl : int {
   kOptimized = 0,
   kReference = 1,

@@ -234,7 +234,7 @@ TEST_F(KernelEquivTest, RegistryImplsShareNamesAndOrder) {
 
 TEST_F(KernelEquivTest, RegistryReferenceImplMatchesOptimized) {
   // Scores through the registry must agree bit-for-bit across impls too
-  // (this is what makes --reference-kernels a fair bench baseline).
+  // (this is what makes the reference impl a fair bench baseline).
   const std::string a = "cafe vivaldi vestergade 2";
   const std::string b = "cafee vivaldi vestergade 2b";
   text::SetKernelImpl(text::KernelImpl::kOptimized);

@@ -25,6 +25,7 @@
 #include "serve/json_writer.h"
 #include "serve/server.h"
 #include "serve/service.h"
+#include "shard/router.h"
 
 namespace skyex {
 namespace {
@@ -129,8 +130,9 @@ TEST(CircuitBreakerTest, DisabledBreakerAlwaysAdmits) {
 #if !defined(SKYEX_FAULTS_DISABLED)
 
 // ---------------------------------------------------------------------
-// End-to-end scenarios: a real server on an ephemeral port with fault
-// points armed. Mirrors the serve_test harness.
+// End-to-end scenarios: a real server (one shard behind the router) on
+// an ephemeral port with fault points armed. Mirrors the serve_test
+// harness.
 
 struct Trained {
   data::Dataset dataset;
@@ -155,21 +157,23 @@ const Trained& TrainOnce() {
 }
 
 struct TestServer {
-  std::unique_ptr<serve::LinkService> service;
+  std::unique_ptr<shard::Router> service;  // the one-shard backend
   std::unique_ptr<serve::Server> server;
 
   uint16_t port() const { return server->port(); }
 };
 
-TestServer StartServer(serve::ServerOptions options = {}) {
+TestServer StartServer(serve::ServerOptions options = {},
+                       shard::RouterOptions router_options = {}) {
   const Trained& trained = TrainOnce();
   auto model = core::LoadModel(trained.model_text);
   EXPECT_TRUE(model.has_value());
   std::string error;
   TestServer ts;
-  ts.service = serve::BootstrapLinkService(
-      trained.dataset, std::move(*model), {}, &error);
+  ts.service = shard::BootstrapRouter(trained.dataset, std::move(*model), {},
+                                      1, router_options, &error);
   EXPECT_NE(ts.service, nullptr) << error;
+  ts.service->Start();
   options.port = 0;  // ephemeral
   ts.server = std::make_unique<serve::Server>(ts.service.get(), options);
   EXPECT_TRUE(ts.server->Start(&error)) << error;
@@ -320,11 +324,12 @@ TEST_F(ResilienceTest, BreakerOpensUnderSustainedExpiryAndRecovers) {
   serve::ServerOptions options;
   options.deadline_ms = 50;
   options.degraded_fallback = true;
-  options.breaker.window = 8;
-  options.breaker.min_samples = 4;
-  options.breaker.failure_threshold = 0.5;
-  options.breaker.open_ms = 200;
-  TestServer ts = StartServer(options);
+  shard::RouterOptions router_options;
+  router_options.node.breaker.window = 8;
+  router_options.node.breaker.min_samples = 4;
+  router_options.node.breaker.failure_threshold = 0.5;
+  router_options.node.breaker.open_ms = 200;
+  TestServer ts = StartServer(options, router_options);
   // Every batch stalls past the deadline until disarmed.
   std::string error;
   ASSERT_TRUE(fault::Registry::Global().ArmSpec(
@@ -365,8 +370,9 @@ TEST_F(ResilienceTest, WatchdogFlagsWedgedLinkerOnHealthzAndRecovers) {
   serve::ServerOptions options;
   options.deadline_ms = 100;
   options.degraded_fallback = true;
-  options.watchdog_ms = 100;
-  TestServer ts = StartServer(options);
+  shard::RouterOptions router_options;
+  router_options.watchdog_ms = 100;
+  TestServer ts = StartServer(options, router_options);
   std::string error;
   ASSERT_TRUE(fault::Registry::Global().ArmSpec(
       "linker.stall:after=1,times=1,ms=1000", &error))

@@ -2,14 +2,16 @@
 // port, exercised over real sockets with the HttpClient. Covers the
 // happy path, batching, error mapping (400/404/405/413), admission
 // control (429 + Retry-After), concurrent access (the thread-safety
-// contract of core/incremental.h is enforced by the server's single
+// contract of core/incremental.h is enforced by each shard's single
 // linker thread — asserted here by consistency under concurrency) and
-// the graceful drain.
+// the graceful drain. The server runs one shard behind the router, as
+// `skyex_serve` does by default.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <set>
 #include <string>
@@ -28,6 +30,7 @@
 #include "serve/json_writer.h"
 #include "serve/server.h"
 #include "serve/service.h"
+#include "shard/router.h"
 
 namespace skyex {
 namespace {
@@ -58,21 +61,23 @@ const Trained& TrainOnce() {
 }
 
 struct TestServer {
-  std::unique_ptr<serve::LinkService> service;
+  std::unique_ptr<shard::Router> service;  // the one-shard backend
   std::unique_ptr<serve::Server> server;
 
   uint16_t port() const { return server->port(); }
 };
 
-TestServer StartServer(serve::ServerOptions options = {}) {
+TestServer StartServer(serve::ServerOptions options = {},
+                       shard::RouterOptions router_options = {}) {
   const Trained& trained = TrainOnce();
   auto model = core::LoadModel(trained.model_text);
   EXPECT_TRUE(model.has_value());
   std::string error;
   TestServer ts;
-  ts.service = serve::BootstrapLinkService(
-      trained.dataset, std::move(*model), {}, &error);
+  ts.service = shard::BootstrapRouter(trained.dataset, std::move(*model), {},
+                                      1, router_options, &error);
   EXPECT_NE(ts.service, nullptr) << error;
+  ts.service->Start();
   options.port = 0;  // ephemeral
   ts.server = std::make_unique<serve::Server>(ts.service.get(), options);
   EXPECT_TRUE(ts.server->Start(&error)) << error;
@@ -256,13 +261,14 @@ TEST(ServeTest, HealthzMetricsAndModel) {
 TEST(ServeTest, QueueOverflowGets429WithRetryAfter) {
   serve::ServerOptions options;
   options.workers = 8;
-  options.queue_depth = 1;
+  shard::RouterOptions router_options;
+  router_options.node.queue_capacity = 1;
   // The linker lingers the full window waiting for a second job that can
   // never be admitted (capacity 1), so the queue stays full and every
   // concurrent push sheds deterministically.
-  options.batch_window_us = 200000;
-  options.max_batch = 2;
-  TestServer ts = StartServer(options);
+  router_options.node.batch_window_us = 200000;
+  router_options.node.max_batch = 2;
+  TestServer ts = StartServer(options, router_options);
 
   constexpr size_t kClients = 8;
   std::atomic<size_t> ok{0};
@@ -293,6 +299,58 @@ TEST(ServeTest, QueueOverflowGets429WithRetryAfter) {
   EXPECT_GE(ts.server->stats().rejected, rejected.load());
 }
 
+// A batch shed at a full queue has linked nothing, so its retry
+// persists each entity once, under the next record indices with no gap
+// left by the shed attempt.
+TEST(ServeTest, ShedBatchPersistsNothingAndItsRetryLeavesNoGap) {
+  serve::ServerOptions options;
+  options.workers = 4;
+  shard::RouterOptions router_options;
+  router_options.node.queue_capacity = 1;
+  // As in QueueOverflowGets429WithRetryAfter: the linker lingers the
+  // full window with the one queued job, so the queue stays full.
+  router_options.node.batch_window_us = 500000;
+  router_options.node.max_batch = 2;
+  TestServer ts = StartServer(options, router_options);
+  const size_t initial = ts.service->record_count();
+
+  std::thread holder([&] {
+    serve::HttpClient client("127.0.0.1", ts.port(), 20000);
+    const auto response = client.Request(
+        "POST", "/v1/link", LinkBody(DuplicateEntity(960000)));
+    ASSERT_TRUE(response.has_value());
+    EXPECT_EQ(response->status, 200);
+  });
+  while (ts.service->queue_depth() == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const std::vector<data::SpatialEntity> batch = {
+      DuplicateEntity(960001), DuplicateEntity(960002),
+      DuplicateEntity(960003)};
+  serve::HttpClient client("127.0.0.1", ts.port(), 20000);
+  const auto shed = client.Request("POST", "/v1/link_batch", BatchBody(batch));
+  ASSERT_TRUE(shed.has_value());
+  EXPECT_EQ(shed->status, 429) << shed->body;
+  EXPECT_FALSE(Header(*shed, "retry-after").empty());
+  holder.join();
+  EXPECT_EQ(ts.service->record_count(), initial + 1);
+
+  const auto retry =
+      client.Request("POST", "/v1/link_batch", BatchBody(batch));
+  ASSERT_TRUE(retry.has_value());
+  ASSERT_EQ(retry->status, 200) << retry->body;
+  std::string error;
+  const auto json = obs::json::Parse(retry->body, &error);
+  ASSERT_TRUE(json.has_value()) << error;
+  const auto& results = json->Find("results")->array_v;
+  ASSERT_EQ(results.size(), batch.size());
+  for (size_t i = 0; i < results.size(); ++i) {
+    EXPECT_EQ(results[i].Find("record_index")->number_v,
+              static_cast<double>(initial + 1 + i));
+  }
+  EXPECT_EQ(ts.service->record_count(), initial + 1 + batch.size());
+}
+
 // The concurrent-access guarantee: many clients linking at once must
 // observe a consistent, serialized dataset — every response gets a
 // unique record index and the final count adds up. This is the test the
@@ -300,8 +358,9 @@ TEST(ServeTest, QueueOverflowGets429WithRetryAfter) {
 TEST(ServeTest, ConcurrentLinksAreSerialized) {
   serve::ServerOptions options;
   options.workers = 8;
-  options.batch_window_us = 2000;
-  TestServer ts = StartServer(options);
+  shard::RouterOptions router_options;
+  router_options.node.batch_window_us = 2000;
+  TestServer ts = StartServer(options, router_options);
   const size_t initial = ts.service->record_count();
 
   constexpr size_t kThreads = 6;
@@ -343,8 +402,10 @@ TEST(ServeTest, ConcurrentLinksAreSerialized) {
 TEST(ServeTest, GracefulDrainCompletesInFlightRequests) {
   serve::ServerOptions options;
   options.workers = 6;  // one per client: all requests admitted at once
-  options.batch_window_us = 50000;  // hold jobs so Stop() races real work
-  TestServer ts = StartServer(options);
+  shard::RouterOptions router_options;
+  // Hold jobs so Stop() races real work.
+  router_options.node.batch_window_us = 50000;
+  TestServer ts = StartServer(options, router_options);
 
   constexpr size_t kClients = 6;
   std::atomic<size_t> ok{0};

@@ -1,11 +1,13 @@
 // Tests of the spatially sharded serving subsystem (src/shard/):
 // shard-map partition/ownership/scatter invariants, the --shards=1
-// byte-identity guarantee against the unsharded server, global record
-// indexing across appends, and fault-injected graceful degradation.
+// byte-identity guarantee against the in-process LinkService::LinkMany
+// reference, global record indexing across appends, and fault-injected
+// graceful degradation.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <memory>
 #include <set>
 #include <string>
@@ -159,27 +161,11 @@ TEST(ShardMapTest, MoreShardsThanLeavesLeavesNoShardInvalid) {
 // Served differential tests
 
 struct TestDeployment {
-  std::unique_ptr<serve::LinkService> service;  // unsharded mode
-  std::unique_ptr<shard::Router> router;        // sharded mode
+  std::unique_ptr<shard::Router> router;
   std::unique_ptr<serve::Server> server;
 
   uint16_t port() const { return server->port(); }
 };
-
-TestDeployment StartUnsharded(serve::ServerOptions options = {}) {
-  const Trained& trained = TrainOnce();
-  auto model = core::LoadModel(trained.model_text);
-  EXPECT_TRUE(model.has_value());
-  std::string error;
-  TestDeployment d;
-  d.service = serve::BootstrapLinkService(trained.dataset, std::move(*model),
-                                          {}, &error);
-  EXPECT_NE(d.service, nullptr) << error;
-  options.port = 0;
-  d.server = std::make_unique<serve::Server>(d.service.get(), options);
-  EXPECT_TRUE(d.server->Start(&error)) << error;
-  return d;
-}
 
 TestDeployment StartSharded(size_t shards,
                             serve::ServerOptions options = {},
@@ -239,16 +225,61 @@ std::string BatchBody(const std::vector<data::SpatialEntity>& entities) {
   return writer.Take();
 }
 
+// The in-process reference answer to a /v1/link or /v1/link_batch
+// request: the body's entities parsed as the server parses them, linked
+// by LinkService::LinkMany, and serialized by WriteLinkResultJson with
+// the pinned request id.
+std::string ReferenceBody(serve::LinkService* service,
+                          const std::string& path, const std::string& body,
+                          const std::string& request_id) {
+  std::string error;
+  const auto json = obs::json::Parse(body, &error);
+  EXPECT_TRUE(json.has_value()) << error;
+  const bool batch = path == "/v1/link_batch";
+  std::vector<obs::json::Value> values;
+  if (batch) {
+    values = json->Find("entities")->array_v;
+  } else {
+    values.push_back(*json->Find("entity"));
+  }
+  std::vector<data::SpatialEntity> entities(values.size());
+  for (size_t i = 0; i < values.size(); ++i) {
+    EXPECT_TRUE(serve::ParseEntityJson(values[i], &entities[i], &error))
+        << error;
+  }
+  const std::vector<serve::LinkResult> results = service->LinkMany(entities);
+  serve::json::Writer writer;
+  if (batch) {
+    writer.BeginObject();
+    writer.Key("request_id").String(request_id);
+    writer.Key("results").BeginArray();
+    for (const serve::LinkResult& result : results) {
+      serve::WriteLinkResultJson(&writer, result);
+    }
+    writer.EndArray();
+    writer.EndObject();
+  } else {
+    serve::WriteLinkResultJson(&writer, results[0], &request_id);
+  }
+  return writer.Take();
+}
+
 // The --shards=1 acceptance gate: one shard behind the router must
-// produce byte-identical /v1/link and /v1/link_batch responses to the
-// unsharded server for the same request sequence (ids pinned via
-// X-Request-Id so the echoed request_id member matches too).
+// serve byte-identical /v1/link and /v1/link_batch responses to
+// LinkService::LinkMany on an identically bootstrapped service for the
+// same request sequence (ids pinned via X-Request-Id so the echoed
+// request_id member matches too).
 TEST(ShardServeTest, SingleShardIsByteIdenticalToUnsharded) {
-  TestDeployment unsharded = StartUnsharded();
+  const Trained& trained = TrainOnce();
+  auto model = core::LoadModel(trained.model_text);
+  ASSERT_TRUE(model.has_value());
+  std::string error;
+  const std::unique_ptr<serve::LinkService> unsharded =
+      serve::BootstrapLinkService(trained.dataset, std::move(*model), {},
+                                  &error);
+  ASSERT_NE(unsharded, nullptr) << error;
   TestDeployment sharded = StartSharded(1);
-  serve::HttpClient a("127.0.0.1", unsharded.port());
   serve::HttpClient b("127.0.0.1", sharded.port());
-  ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
 
   const std::vector<std::pair<std::string, std::string>> requests = {
@@ -270,28 +301,26 @@ TEST(ShardServeTest, SingleShardIsByteIdenticalToUnsharded) {
     ++request_number;
     const std::string rid = "deadbeef000000" +
                             std::to_string(10 + request_number);
-    const auto ra = a.Request("POST", path, body, "application/json",
-                              {{"X-Request-Id", rid}});
+    const std::string expected =
+        ReferenceBody(unsharded.get(), path, body, rid);
     const auto rb = b.Request("POST", path, body, "application/json",
                               {{"X-Request-Id", rid}});
-    ASSERT_TRUE(ra.has_value());
     ASSERT_TRUE(rb.has_value());
-    EXPECT_EQ(ra->status, 200) << path;
     EXPECT_EQ(rb->status, 200) << path;
-    EXPECT_EQ(ra->body, rb->body)
+    EXPECT_EQ(expected, rb->body)
         << "request " << request_number << " (" << path
         << ") diverged between unsharded and --shards=1";
   }
-  EXPECT_EQ(unsharded.service->record_count(), sharded.router->record_count());
+  EXPECT_EQ(unsharded->record_count(), sharded.router->record_count());
 }
 
-// Multiple shards must find the same links (the partition only prunes
-// provably out-of-radius shards), rank them identically, and merge the
-// same golden record.
+// Multiple shards must find the same links as one shard (the partition
+// only prunes provably out-of-radius shards), rank them identically,
+// and merge the same golden record.
 TEST(ShardServeTest, FourShardsFindTheSameLinksAsUnsharded) {
-  TestDeployment unsharded = StartUnsharded();
+  TestDeployment single = StartSharded(1);
   TestDeployment sharded = StartSharded(4);
-  serve::HttpClient a("127.0.0.1", unsharded.port());
+  serve::HttpClient a("127.0.0.1", single.port());
   serve::HttpClient b("127.0.0.1", sharded.port());
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
@@ -353,7 +382,7 @@ TEST(ShardServeTest, AppendsAreMatchableAcrossRequests) {
 
 TEST(ShardServeTest, HealthModelAndPerShardMetrics) {
   TestDeployment sharded = StartSharded(4);
-  TestDeployment unsharded = StartUnsharded();
+  TestDeployment single = StartSharded(1);
   serve::HttpClient client("127.0.0.1", sharded.port());
   ASSERT_TRUE(client.ok());
 
@@ -368,9 +397,9 @@ TEST(ShardServeTest, HealthModelAndPerShardMetrics) {
   EXPECT_EQ(health_json->Find("records")->number_v,
             static_cast<double>(TrainOnce().dataset.size()));
 
-  // Same calibration -> same served model text as the unsharded server.
+  // Same calibration -> same served model text as one shard.
   const auto model = client.Request("GET", "/model");
-  serve::HttpClient uclient("127.0.0.1", unsharded.port());
+  serve::HttpClient uclient("127.0.0.1", single.port());
   const auto umodel = uclient.Request("GET", "/model");
   ASSERT_TRUE(model.has_value());
   ASSERT_TRUE(umodel.has_value());
@@ -395,6 +424,73 @@ TEST(ShardServeTest, HealthModelAndPerShardMetrics) {
   EXPECT_EQ(records_across_gauges,
             static_cast<double>(TrainOnce().dataset.size()));
 #endif
+}
+
+std::string Header(const serve::HttpResponse& response,
+                   const std::string& lowercase_key) {
+  for (const auto& [key, value] : response.extra_headers) {
+    if (key == lowercase_key) return value;
+  }
+  return "";
+}
+
+// A duplicate (as DuplicateEntity) of a located record whose whole
+// scatter set is `shard`: linking it touches no other shard.
+data::SpatialEntity SoleTargetDuplicate(const shard::Router& router,
+                                        size_t shard, uint64_t id) {
+  const double radius_m = core::IncrementalLinkerOptions{}.radius_m;
+  for (size_t skip = 0;; ++skip) {
+    const data::SpatialEntity entity = DuplicateEntity(id, skip);
+    if (!entity.location.valid) break;  // DuplicateEntity ran out
+    if (router.map().ShardsIntersecting(entity.location, radius_m) ==
+        std::vector<size_t>{shard}) {
+      return entity;
+    }
+  }
+  ADD_FAILURE() << "no record whose only scatter target is shard " << shard;
+  return {};
+}
+
+// A shed batch has persisted nothing, so retrying it cannot duplicate
+// records; once an entity of the batch has been persisted, a later
+// refused entity degrades instead of shedding the request.
+TEST(ShardServeTest, OnlyAFirstEntityRefusalShedsABatch) {
+  shard::RouterOptions router_options;
+  router_options.node.breaker.open_ms = 600000;
+  TestDeployment sharded = StartSharded(2, {}, router_options);
+  const size_t initial = sharded.router->record_count();
+  const data::SpatialEntity on_0 =
+      SoleTargetDuplicate(*sharded.router, 0, 955001);
+  const data::SpatialEntity on_1 =
+      SoleTargetDuplicate(*sharded.router, 1, 955002);
+  sharded.router->node(1).breaker().ForceOpen(
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+  serve::HttpClient client("127.0.0.1", sharded.port());
+  ASSERT_TRUE(client.ok());
+
+  const auto shed =
+      client.Request("POST", "/v1/link_batch", BatchBody({on_1, on_0}));
+  ASSERT_TRUE(shed.has_value());
+  EXPECT_EQ(shed->status, 503) << shed->body;
+  EXPECT_FALSE(Header(*shed, "retry-after").empty());
+  EXPECT_EQ(sharded.router->record_count(), initial);
+
+  const auto partial =
+      client.Request("POST", "/v1/link_batch", BatchBody({on_0, on_1}));
+  ASSERT_TRUE(partial.has_value());
+  ASSERT_EQ(partial->status, 200) << partial->body;
+  std::string error;
+  const auto json = obs::json::Parse(partial->body, &error);
+  ASSERT_TRUE(json.has_value()) << error;
+  const auto& results = json->Find("results")->array_v;
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_EQ(results[0].Find("degraded"), nullptr) << partial->body;
+  EXPECT_EQ(results[0].Find("record_index")->number_v,
+            static_cast<double>(initial));
+  ASSERT_NE(results[1].Find("degraded"), nullptr) << partial->body;
+  EXPECT_EQ(sharded.router->record_count(), initial + 1);
 }
 
 #if !defined(SKYEX_FAULTS_DISABLED)
@@ -448,6 +544,26 @@ TEST(ShardServeTest, AllShardsFailingFallsBackToTheBareEntity) {
   EXPECT_TRUE(json->Find("links")->array_v.empty());
   // The merged record falls back to the entity itself.
   EXPECT_EQ(json->Find("merged")->Find("name")->string_v, entity.name);
+}
+
+// The outcome rule does not depend on the shard count: with the
+// degraded fallback off, a request that lost its shards is shed with
+// 503 + Retry-After, exactly as on one shard.
+TEST(ShardServeTest, LostShardsWithoutFallbackShed503) {
+  serve::ServerOptions options;
+  options.degraded_fallback = false;
+  TestDeployment sharded = StartSharded(2, options);
+  serve::HttpClient client("127.0.0.1", sharded.port());
+  ASSERT_TRUE(client.ok());
+  std::string error;
+  ASSERT_TRUE(fault::Registry::Global().ArmSpec("shard.error:p=1", &error))
+      << error;
+  const auto response =
+      client.Request("POST", "/v1/link", LinkBody(DuplicateEntity(950001)));
+  fault::Registry::Global().DisarmAll();
+  ASSERT_TRUE(response.has_value());
+  EXPECT_EQ(response->status, 503) << response->body;
+  EXPECT_FALSE(Header(*response, "retry-after").empty());
 }
 
 #endif  // !defined(SKYEX_FAULTS_DISABLED)
