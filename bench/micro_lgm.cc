@@ -2,8 +2,14 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <string_view>
+#include <utility>
+#include <vector>
 
+#include "data/northdk_generator.h"
+#include "features/lgm_x.h"
+#include "geo/quadflex.h"
 #include "lgm/lgm_sim.h"
 #include "text/edit_distance.h"
 #include "text/jaro.h"
@@ -55,5 +61,53 @@ void BM_LgmCustomSorted(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LgmCustomSorted);
+
+// One whole LGM-X row (88 features, both textual attributes through the
+// LGM-Sim split core) from cached entity text, over a fixed sample of
+// generated North-DK QuadFlex pairs — the per-pair cost that dominates
+// batch extraction, measured outside the full pipeline.
+void BM_LgmXRow(benchmark::State& state) {
+  using skyex::features::LgmXExtractor;
+  struct Fixture {
+    skyex::data::Dataset dataset;
+    std::vector<LgmXExtractor::EntityText> text;
+    std::vector<skyex::geo::CandidatePair> pairs;
+    LgmXExtractor extractor;
+  };
+  static const auto& fixture = *[] {
+    skyex::data::NorthDkOptions options;
+    options.num_entities = 2000;
+    options.seed = 7;
+    skyex::data::Dataset dataset = skyex::data::GenerateNorthDk(options);
+    std::vector<LgmXExtractor::EntityText> text;
+    for (const skyex::data::SpatialEntity& e : dataset.entities) {
+      text.push_back(LgmXExtractor::ComputeEntityText(e));
+    }
+    const std::vector<skyex::geo::CandidatePair> all =
+        skyex::geo::QuadFlexBlock(dataset.Points());
+    // Every k-th pair, 1024 in all: spread over the whole map.
+    std::vector<skyex::geo::CandidatePair> pairs;
+    const size_t stride = std::max<size_t>(1, all.size() / 1024);
+    for (size_t r = 0; r < all.size() && pairs.size() < 1024; r += stride) {
+      pairs.push_back(all[r]);
+    }
+    LgmXExtractor extractor = LgmXExtractor::FromCorpus(dataset);
+    return new Fixture{std::move(dataset), std::move(text), std::move(pairs),
+                       std::move(extractor)};
+  }();
+  std::vector<double> row(fixture.extractor.feature_count());
+  for (auto _ : state) {
+    for (const auto& [i, j] : fixture.pairs) {
+      fixture.extractor.RowFromCache(fixture.dataset[i], fixture.text[i],
+                                     fixture.dataset[j], fixture.text[j],
+                                     row.data());
+      benchmark::DoNotOptimize(row.data());
+    }
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(fixture.pairs.size()));
+}
+BENCHMARK(BM_LgmXRow)->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -13,7 +13,6 @@
 #include "obs/trace.h"
 #include "prof/prof.h"
 #include "par/parallel_for.h"
-#include "text/edit_distance.h"
 #include "text/normalize.h"
 #include "text/similarity_registry.h"
 #include "text/tokenize.h"
@@ -52,6 +51,7 @@ LgmXExtractor::LgmXExtractor(lgm::LgmSim name_sim, lgm::LgmSim addr_sim,
   for (const text::NamedSimilarity& m : sortable) {
     sortable_to_basic_.push_back(IndexOfMeasure(basic, m.name));
   }
+  dl_sortable_index_ = IndexOfMeasure(sortable, "damerau_levenshtein");
   sorted_jw_basic_index_ = IndexOfMeasure(basic, "jaro_winkler_sorted");
   jw_basic_index_ = IndexOfMeasure(basic, "jaro_winkler");
 }
@@ -114,16 +114,27 @@ void LgmXExtractor::TextFeatures(const lgm::LgmSim& sim,
                               sortable[s].fn(a_sorted, b_sorted));
   }
   // Group (iii): LGM-Sim meta-similarity on top of each sortable measure.
-  for (const text::NamedSimilarity& m : sortable) {
-    out[k++] = sim.ScoreNormalized(a_norm, b_norm, m.fn);
+  // Both strings are tokenized and their frequent terms resolved once per
+  // attribute; each measure's sort decision reuses its group-(i) raw
+  // score. Group (iv), the three individual list scores computed with
+  // Damerau-Levenshtein as in the paper, reads group (iii)'s
+  // Damerau-Levenshtein split instead of splitting again.
+  const lgm::PreparedPair pair(a_norm, b_norm, sim.dictionary());
+  lgm::ListScores dl_scores;
+  for (size_t s = 0; s < sortable.size(); ++s) {
+    const text::SimilarityFn fn = sortable[s].fn;
+    const lgm::JoinedLists lists =
+        sim.Split(pair, raw[sortable_to_basic_[s]], fn);
+    if (s == dl_sortable_index_) {
+      dl_scores = lgm::LgmSim::ScoreLists(lists, fn);
+      out[k++] = sim.WeightedScore(lists, dl_scores);
+    } else {
+      out[k++] = sim.WeightedScore(lists, fn);
+    }
   }
-  // Group (iv): the three individual list scores, computed with
-  // Damerau-Levenshtein as in the paper.
-  const lgm::ListScores scores = sim.IndividualScoresNormalized(
-      a_norm, b_norm, text::DamerauLevenshteinSimilarity);
-  out[k++] = scores.base;
-  out[k++] = scores.mismatch;
-  out[k++] = scores.frequent;
+  out[k++] = dl_scores.base;
+  out[k++] = dl_scores.mismatch;
+  out[k++] = dl_scores.frequent;
 }
 
 LgmXExtractor::EntityText LgmXExtractor::ComputeEntityText(

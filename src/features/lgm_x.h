@@ -54,6 +54,9 @@ class LgmXExtractor {
                                   LgmXOptions options = {},
                                   lgm::LgmSimConfig config = {});
 
+  const lgm::LgmSim& name_sim() const { return name_sim_; }
+  const lgm::LgmSim& addr_sim() const { return addr_sim_; }
+  const LgmXOptions& options() const { return options_; }
   const std::vector<std::string>& feature_names() const { return names_; }
   size_t feature_count() const { return names_.size(); }
 
@@ -99,8 +102,10 @@ class LgmXExtractor {
   // Registry-position maps resolved once at construction: group (ii)
   // reuses group (i) raw scores via sortable_to_basic_, and the pre-sorted
   // measure ("jaro_winkler_sorted") is computed from the cached sorted
-  // strings via the plain Jaro-Winkler entry.
+  // strings via the plain Jaro-Winkler entry. Group (iv) reuses group
+  // (iii)'s Damerau-Levenshtein split at dl_sortable_index_.
   std::vector<size_t> sortable_to_basic_;
+  size_t dl_sortable_index_;
   size_t sorted_jw_basic_index_;
   size_t jw_basic_index_;
 };

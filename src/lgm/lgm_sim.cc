@@ -8,34 +8,85 @@
 
 namespace skyex::lgm {
 
+namespace {
+
+// The weighted ensemble behind both WeightedScore overloads; `score_of(l)`
+// yields list pair l's score (0 base, 1 mismatch, 2 frequent) and is only
+// asked for pairs with terms on both sides.
+template <typename ScoreOf>
+double Ensemble(const LgmSimConfig& config, const JoinedLists& lists,
+                ScoreOf score_of) {
+  const std::string_view sides[3][2] = {
+      {lists.base_a, lists.base_b},
+      {lists.mismatch_a, lists.mismatch_b},
+      {lists.frequent_a, lists.frequent_b},
+  };
+  const double weights[3] = {config.base_weight, config.mismatch_weight,
+                             config.frequent_weight};
+  double active_weight = 0.0;
+  double weighted_score = 0.0;
+  for (int l = 0; l < 3; ++l) {
+    const bool has_a = !sides[l][0].empty();
+    const bool has_b = !sides[l][1].empty();
+    if (!has_a && !has_b) continue;
+    active_weight += weights[l];
+    weighted_score += weights[l] * (has_a && has_b ? score_of(l) : 0.0);
+  }
+  if (active_weight <= 0.0) {
+    // Both strings were empty after normalization.
+    return 1.0;
+  }
+  return weighted_score / active_weight;
+}
+
+}  // namespace
+
 LgmSim::LgmSim(FrequentTermDictionary dictionary, LgmSimConfig config)
     : dictionary_(std::move(dictionary)), config_(config) {}
 
-TermLists LgmSim::SplitNormalized(std::string_view na, std::string_view nb,
-                                  text::SimilarityFn base_fn) const {
-  std::string a(na);
-  std::string b(nb);
+JoinedLists LgmSim::Split(const PreparedPair& pair, double raw,
+                          text::SimilarityFn base_fn) const {
   // The custom sorting decision: hard-to-align strings are term-sorted
   // before splitting, which stabilizes the greedy matching.
-  if (base_fn(a, b) < config_.sort_threshold) {
-    a = text::SortTokens(a);
-    b = text::SortTokens(b);
-  }
-  return SplitTermLists(a, b, dictionary_, base_fn, config_.match_threshold);
+  const TermOrder order =
+      raw < config_.sort_threshold ? TermOrder::kSorted : TermOrder::kAsIs;
+  return pair.Split(order, base_fn, config_.match_threshold);
+}
+
+double LgmSim::WeightedScore(const JoinedLists& lists,
+                             text::SimilarityFn base_fn) const {
+  return Ensemble(config_, lists, [&](int l) {
+    switch (l) {
+      case 0:
+        return base_fn(lists.base_a, lists.base_b);
+      case 1:
+        return base_fn(lists.mismatch_a, lists.mismatch_b);
+      default:
+        return base_fn(lists.frequent_a, lists.frequent_b);
+    }
+  });
+}
+
+double LgmSim::WeightedScore(const JoinedLists& lists,
+                             const ListScores& scores) const {
+  const double by_list[3] = {scores.base, scores.mismatch, scores.frequent};
+  return Ensemble(config_, lists, [&](int l) { return by_list[l]; });
+}
+
+ListScores LgmSim::ScoreLists(const JoinedLists& lists,
+                              text::SimilarityFn base_fn) {
+  ListScores scores;
+  scores.base = base_fn(lists.base_a, lists.base_b);
+  scores.mismatch = base_fn(lists.mismatch_a, lists.mismatch_b);
+  scores.frequent = base_fn(lists.frequent_a, lists.frequent_b);
+  return scores;
 }
 
 ListScores LgmSim::IndividualScoresNormalized(
     std::string_view na, std::string_view nb,
     text::SimilarityFn base_fn) const {
-  const TermLists lists = SplitNormalized(na, nb, base_fn);
-  ListScores scores;
-  scores.base = base_fn(text::JoinTokens(lists.base_a),
-                        text::JoinTokens(lists.base_b));
-  scores.mismatch = base_fn(text::JoinTokens(lists.mismatch_a),
-                            text::JoinTokens(lists.mismatch_b));
-  scores.frequent = base_fn(text::JoinTokens(lists.frequent_a),
-                            text::JoinTokens(lists.frequent_b));
-  return scores;
+  const PreparedPair pair(na, nb, dictionary_);
+  return ScoreLists(Split(pair, base_fn(na, nb), base_fn), base_fn);
 }
 
 ListScores LgmSim::IndividualScores(std::string_view a, std::string_view b,
@@ -46,45 +97,8 @@ ListScores LgmSim::IndividualScores(std::string_view a, std::string_view b,
 
 double LgmSim::ScoreNormalized(std::string_view na, std::string_view nb,
                                text::SimilarityFn base_fn) const {
-  const TermLists lists = SplitNormalized(na, nb, base_fn);
-
-  // Score each list pair. A pair that is empty on both sides carries no
-  // information: it is excluded and its weight redistributed over the
-  // remaining lists (as in the reference LGM-Sim implementation). A pair
-  // with terms on exactly one side scores 0 — extra unmatched terms count
-  // against the match.
-  struct ListEntry {
-    double weight;
-    double score;
-    bool active;
-  };
-  const auto score_pair = [&](const std::vector<std::string>& la,
-                              const std::vector<std::string>& lb,
-                              double weight) -> ListEntry {
-    if (la.empty() && lb.empty()) return {weight, 0.0, false};
-    if (la.empty() || lb.empty()) return {weight, 0.0, true};
-    return {weight, base_fn(text::JoinTokens(la), text::JoinTokens(lb)),
-            true};
-  };
-  const ListEntry entries[3] = {
-      score_pair(lists.base_a, lists.base_b, config_.base_weight),
-      score_pair(lists.mismatch_a, lists.mismatch_b,
-                 config_.mismatch_weight),
-      score_pair(lists.frequent_a, lists.frequent_b,
-                 config_.frequent_weight),
-  };
-  double active_weight = 0.0;
-  double weighted_score = 0.0;
-  for (const ListEntry& e : entries) {
-    if (!e.active) continue;
-    active_weight += e.weight;
-    weighted_score += e.weight * e.score;
-  }
-  if (active_weight <= 0.0) {
-    // Both strings were empty after normalization.
-    return 1.0;
-  }
-  return weighted_score / active_weight;
+  const PreparedPair pair(na, nb, dictionary_);
+  return WeightedScore(Split(pair, base_fn(na, nb), base_fn), base_fn);
 }
 
 double LgmSim::Score(std::string_view a, std::string_view b,

@@ -72,13 +72,34 @@ class LgmSim {
                                         std::string_view nb,
                                         text::SimilarityFn base_fn) const;
 
+  /// The split core every entry point above runs on, for callers that
+  /// score one pair under many measures (LGM-X): the custom-sorting
+  /// decision from `raw` — base_fn's score on the normalized strings,
+  /// which such callers already hold — then `pair`'s term-list split under
+  /// base_fn.
+  JoinedLists Split(const PreparedPair& pair, double raw,
+                    text::SimilarityFn base_fn) const;
+
+  /// The weighted ensemble of a split, scoring each list pair with
+  /// base_fn. A pair empty on both sides carries no information: it is
+  /// excluded and its weight redistributed over the remaining lists (as in
+  /// the reference LGM-Sim implementation). A pair with terms on exactly
+  /// one side scores 0 — extra unmatched terms count against the match.
+  /// Both strings empty after normalization score 1.
+  double WeightedScore(const JoinedLists& lists,
+                       text::SimilarityFn base_fn) const;
+  /// The same ensemble from `scores` = ScoreLists(lists, base_fn), for a
+  /// caller that needs the individual scores too.
+  double WeightedScore(const JoinedLists& lists,
+                       const ListScores& scores) const;
+  /// base_fn on each of a split's three list pairs, empty lists included.
+  static ListScores ScoreLists(const JoinedLists& lists,
+                               text::SimilarityFn base_fn);
+
   const LgmSimConfig& config() const { return config_; }
   const FrequentTermDictionary& dictionary() const { return dictionary_; }
 
  private:
-  TermLists SplitNormalized(std::string_view na, std::string_view nb,
-                            text::SimilarityFn base_fn) const;
-
   FrequentTermDictionary dictionary_;
   LgmSimConfig config_;
 };

@@ -2,9 +2,11 @@
 #define SKYEX_LGM_LIST_SPLIT_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "lgm/frequent_terms.h"
+#include "text/scratch.h"
 #include "text/similarity_registry.h"
 
 namespace skyex::lgm {
@@ -22,12 +24,60 @@ struct TermLists {
   std::vector<std::string> frequent_b;
 };
 
-/// Splits the token lists of two normalized strings.
+/// The same six lists, each joined with single spaces — the form the list
+/// scores run on (an empty list is the empty string). Views into the
+/// calling thread's scratch arena, valid until its next split.
+struct JoinedLists {
+  std::string_view base_a;
+  std::string_view base_b;
+  std::string_view mismatch_a;
+  std::string_view mismatch_b;
+  std::string_view frequent_a;
+  std::string_view frequent_b;
+};
+
+/// The term order a split runs on: the strings as normalized, or term-
+/// sorted (LGM-Sim's custom sorting step).
+enum class TermOrder : int {
+  kAsIs = 0,
+  kSorted = 1,
+};
+
+/// The one LGM-Sim term-list split. The constructor tokenizes both
+/// normalized strings once, as views over them, and resolves each term's
+/// frequent flag once; both term orders are kept (sorting the term views
+/// gives exactly text::SortTokens' order). Split() then runs the greedy
+/// best-first match for any similarity measure without re-tokenizing, so
+/// one pair can be split under many measures for the cost of one
+/// tokenization.
 ///
-/// Frequent terms (per `dict`) go to the frequent lists first. Among the
-/// rest, tokens are greedily matched best-similarity-first using
-/// `token_sim`; pairs at or above `match_threshold` populate the base
-/// lists, unmatched tokens the mismatch lists.
+/// All state lives in the calling thread's scratch arena (the `lgm_*`
+/// group of text::ScratchArena): at most one PreparedPair per thread at a
+/// time (the constructor throws std::logic_error otherwise), and `na` /
+/// `nb` must outlive it.
+class PreparedPair {
+ public:
+  PreparedPair(std::string_view na, std::string_view nb,
+               const FrequentTermDictionary& dict);
+  ~PreparedPair();
+
+  PreparedPair(const PreparedPair&) = delete;
+  PreparedPair& operator=(const PreparedPair&) = delete;
+
+  /// Frequent terms go to the frequent lists. Among the rest, term pairs
+  /// are matched greedily best-similarity-first under `token_sim` (ties
+  /// broken by a-position, then b-position); pairs at or above
+  /// `match_threshold` populate the base lists in match order, unmatched
+  /// terms the mismatch lists in string order.
+  JoinedLists Split(TermOrder order, text::SimilarityFn token_sim,
+                    double match_threshold) const;
+
+ private:
+  text::ScratchArena& arena_;
+};
+
+/// Splits the token lists of two normalized strings as they stand (no
+/// sorting): PreparedPair::Split, re-tokenized into owned lists.
 TermLists SplitTermLists(const std::string& a, const std::string& b,
                          const FrequentTermDictionary& dict,
                          text::SimilarityFn token_sim,

@@ -133,6 +133,9 @@ struct ProfRegistry {
   std::vector<Sample> retired;
   uint64_t retired_total = 0;
   uint64_t retired_dropped = 0;
+  // Lifetime drop count at the last Drain(), so each Drain() reports the
+  // drops of its own window.
+  uint64_t dropped_at_drain = 0;
   bool handler_installed = false;
   std::chrono::steady_clock::time_point window_start =
       std::chrono::steady_clock::now();
@@ -357,23 +360,23 @@ void CpuProfiler::Stop() {
 Profile CpuProfiler::Drain() {
   Profile profile;
   std::vector<Sample> samples;
-  uint64_t dropped = 0;
   {
     ProfRegistry& registry = Registry();
     std::lock_guard<std::mutex> lock(registry.mutex);
     samples.swap(registry.retired);
-    dropped += registry.retired_dropped;
+    uint64_t lifetime_dropped = registry.retired_dropped;
     for (ThreadState* state : registry.threads) {
       state->ring.Drain(&samples);
-      dropped += state->ring.dropped();
+      lifetime_dropped += state->ring.dropped();
     }
+    profile.dropped = lifetime_dropped - registry.dropped_at_drain;
+    registry.dropped_at_drain = lifetime_dropped;
     const auto now = std::chrono::steady_clock::now();
     profile.wall_seconds =
         std::chrono::duration<double>(now - registry.window_start).count();
     registry.window_start = now;
   }
   profile.hz = hz_.load(std::memory_order_relaxed);
-  profile.dropped = dropped;  // cumulative, diagnostic
   profile.samples = samples.size();
 
   // Fold identical (phase, stack) samples. vector<void*> compares

@@ -131,7 +131,7 @@ struct Profile {
   std::vector<Entry> entries;           // sorted by count, descending
   std::array<uint64_t, kPhaseCount> phase_samples{};
   uint64_t samples = 0;
-  uint64_t dropped = 0;
+  uint64_t dropped = 0;  // lost in this window (since the previous Drain)
   double wall_seconds = 0.0;
   int hz = 0;
 };
@@ -166,7 +166,8 @@ class CpuProfiler {
   /// Consumes every thread's unread samples (including threads that
   /// exited since the last drain) and folds them into an aggregated
   /// Profile. Safe while handlers write. `wall_seconds` is the time
-  /// since the previous Drain (or Start).
+  /// since the previous Drain (or Start), and `dropped` counts the
+  /// samples lost in that same window (total_dropped() is lifetime).
   Profile Drain();
 
   /// Discards all unread samples — the start of a collection window.

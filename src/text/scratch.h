@@ -18,6 +18,12 @@
 // buffers outside that group, so one arena per thread suffices. A kernel
 // must never call a kernel of its own family while holding views into its
 // family's buffers.
+//
+// The `lgm_*` group belongs to the LGM-Sim split core (lgm::PreparedPair),
+// which sits above the kernels: it calls kernels of every family while
+// holding views into `lgm_*`, so no kernel may touch that group. The core
+// itself is not re-entrant — one PreparedPair per thread at a time (its
+// constructor enforces this via `lgm_pair_open`).
 
 namespace skyex::text {
 
@@ -65,6 +71,21 @@ struct ScratchArena {
   std::vector<PairCandidate> align_candidates;
   std::vector<uint8_t> align_used_a;
   std::vector<uint8_t> align_used_b;
+
+  // LGM-Sim split core (lgm_* — lgm::PreparedPair only). Per pair, indexed
+  // [term order][side]: the significant ("rest") term views and the joined
+  // frequent-term list; `lgm_tokens` is the tokenizer's output.
+  std::vector<std::string_view> lgm_tokens;
+  std::vector<std::string_view> lgm_rest[2][2];
+  std::string lgm_frequent[2][2];
+  bool lgm_pair_open = false;
+  // Per split: greedy-match candidates, used flags, and the joined base /
+  // mismatch lists the list scores run on.
+  std::vector<PairCandidate> lgm_candidates;
+  std::vector<uint8_t> lgm_used_a;
+  std::vector<uint8_t> lgm_used_b;
+  std::string lgm_base[2];
+  std::string lgm_mismatch[2];
 
   /// The calling thread's arena.
   static ScratchArena& Get();

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <sstream>
 #include <string>
@@ -307,6 +308,42 @@ TEST_F(ProfTest, ProfileJsonParses) {
   const auto* stacks = parsed->Find("stacks");
   ASSERT_NE(stacks, nullptr);
   EXPECT_TRUE(stacks->is_array());
+}
+
+TEST_F(ProfTest, DroppedCountsOnlyTheDrainWindow) {
+  auto& profiler = prof::CpuProfiler::Global();
+  std::string error;
+  if (!profiler.Start(1000, &error)) {
+    GTEST_SKIP() << "profiler unavailable: " << error;
+  }
+  profiler.RegisterCurrentThread();
+  profiler.DiscardPending();
+  // Lap this thread's ring without draining, so samples are lost before
+  // the windows under test. Thread CPU-time timers fire at most once per
+  // kernel tick, so this takes ~4 s of CPU at HZ=1000 and ~17 s at 250.
+  const uint64_t overflow = prof::SampleRing().capacity() + 256;
+  const uint64_t start = profiler.total_samples();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (profiler.total_samples() - start < overflow &&
+         std::chrono::steady_clock::now() < deadline) {
+    skyex_prof_test_burn(20000000);
+  }
+  profiler.Stop();
+  if (profiler.total_samples() - start < overflow) {
+    GTEST_SKIP() << "ring did not lap within 60 s ("
+                 << profiler.total_samples() - start << " samples)";
+  }
+  const prof::Profile lapped = profiler.Drain();
+  ASSERT_GT(lapped.dropped, 0u);
+  const uint64_t lifetime = profiler.total_dropped();
+  EXPECT_GE(lifetime, lapped.dropped);
+
+  // Two consecutive drains with no drops in between: both windows read 0,
+  // while the lifetime total stays where it was.
+  EXPECT_EQ(profiler.Drain().dropped, 0u);
+  EXPECT_EQ(profiler.Drain().dropped, 0u);
+  EXPECT_EQ(profiler.total_dropped(), lifetime);
 }
 
 TEST_F(ProfTest, HeapProfileJsonParses) {
