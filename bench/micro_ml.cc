@@ -5,6 +5,7 @@
 
 #include <random>
 
+#include "core/pipeline.h"
 #include "core/skyex_t.h"
 #include "ml/decision_tree.h"
 #include "ml/extra_trees.h"
@@ -12,6 +13,7 @@
 #include "ml/linear_svm.h"
 #include "ml/mlp.h"
 #include "ml/random_forest.h"
+#include "ml/statistics.h"
 
 namespace {
 
@@ -118,5 +120,37 @@ void BM_SkyExTLabel(benchmark::State& state) {
                           static_cast<int64_t>(p.rows.size()));
 }
 BENCHMARK(BM_SkyExTLabel)->Unit(benchmark::kMillisecond);
+
+// The redundancy matrix of SkyEx-T's feature de-duplication: all 88 LGM-X
+// columns of a generated North-DK QuadFlex matrix, on the rows Train
+// scores them over (every pair, evenly thinned to max_mi_rows). Run with
+// --threads=1 and --threads=$(nproc).
+void BM_PairwiseRedundancy(benchmark::State& state) {
+  struct Fixture {
+    skyex::ml::FeatureMatrix matrix;
+    std::vector<size_t> rows;
+  };
+  static const auto& fixture = *[] {
+    skyex::data::NorthDkOptions options;
+    options.num_entities = 4000;
+    options.seed = 7;
+    auto* f = new Fixture{skyex::core::PrepareNorthDk(options).features, {}};
+    const size_t cap = skyex::core::FeatureSelectionOptions{}.max_mi_rows;
+    const size_t n = f->matrix.rows;
+    const double stride =
+        n > cap ? static_cast<double>(n) / static_cast<double>(cap) : 1.0;
+    for (size_t k = 0; k < std::min(n, cap); ++k) {
+      f->rows.push_back(static_cast<size_t>(static_cast<double>(k) * stride));
+    }
+    return f;
+  }();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        skyex::ml::PairwiseRedundancy(fixture.matrix, fixture.rows));
+  }
+  state.counters["rows"] = static_cast<double>(fixture.rows.size());
+  state.counters["cols"] = static_cast<double>(fixture.matrix.cols);
+}
+BENCHMARK(BM_PairwiseRedundancy)->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -2,6 +2,7 @@
 #define SKYEX_ML_STATISTICS_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "ml/dataset_view.h"
@@ -20,7 +21,9 @@ double FeatureClassCorrelation(const FeatureMatrix& matrix, size_t column,
 
 /// Mutual information between two continuous variables, estimated with
 /// equal-width binning (the discretize + mutinformation approach of the
-/// R `infotheo` package the paper uses). Result in nats, ≥ 0.
+/// R `infotheo` package the paper uses). Result in nats, ≥ 0. The bins
+/// span the finite entries; NaN and -inf fall in the first bin, +inf in
+/// the last.
 double MutualInformation(const std::vector<double>& x,
                          const std::vector<double>& y, size_t bins = 0);
 
@@ -31,8 +34,21 @@ double NormalizedMutualInformation(const std::vector<double>& x,
                                    size_t bins = 0);
 
 /// Pairwise normalized mutual information of feature columns over the
-/// given rows. Returns a cols×cols symmetric matrix (diagonal 1).
+/// given rows. Returns a cols×cols symmetric matrix (diagonal 1). Each
+/// cell is bit-identical to NormalizedMutualInformation of the two
+/// gathered columns; every column is binned once and the pairs are
+/// scored on the shared thread pool.
 std::vector<std::vector<double>> PairwiseNormalizedMi(
+    const FeatureMatrix& matrix, const std::vector<size_t>& rows,
+    size_t bins = 0);
+
+/// Pairwise redundancy score of feature columns over the given rows:
+/// max(normalized MI, |Pearson|), the score SkyEx-T's feature
+/// de-duplication thresholds (core::FeatureSelectionOptions). Returns a
+/// cols×cols symmetric matrix (diagonal 1); each cell is bit-identical to
+/// max(NormalizedMutualInformation, |PearsonCorrelation|) of the two
+/// gathered columns, at any thread count.
+std::vector<std::vector<double>> PairwiseRedundancy(
     const FeatureMatrix& matrix, const std::vector<size_t>& rows,
     size_t bins = 0);
 
@@ -44,7 +60,7 @@ struct ValueRange {
   double max = 0.0;
   bool ok = false;
 };
-ValueRange FiniteRange(const std::vector<double>& values);
+ValueRange FiniteRange(std::span<const double> values);
 
 }  // namespace skyex::ml
 

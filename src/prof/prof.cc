@@ -322,7 +322,7 @@ bool CpuProfiler::Start(int hz, std::string* error) {
   }
   return false;
 #else
-  hz = std::clamp(hz, 1, 1000);
+  hz = std::clamp(hz, 1, kMaxHz);
   RegisterCurrentThread();
   ProfRegistry& registry = Registry();
   std::lock_guard<std::mutex> lock(registry.mutex);

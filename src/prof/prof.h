@@ -144,8 +144,14 @@ class CpuProfiler {
 
   static CpuProfiler& Global();
 
+  /// Highest rate that is delivered as requested: each thread's CPU-time
+  /// timer fires at most once per kernel tick, and 250 Hz is the common
+  /// tick rate, so a higher request would be reported but not sampled.
+  static constexpr int kMaxHz = 250;
+
   /// Starts sampling every registered thread at `hz` (clamped to
-  /// [1, 1000]). Idempotent while running (the first rate wins).
+  /// [1, kMaxHz]; `hz()` reports the clamped rate). Idempotent while
+  /// running (the first rate wins).
   /// False + `error` when timers are unavailable (non-Linux, or the
   /// SKYEX_PROF=OFF build).
   bool Start(int hz = kDefaultHz, std::string* error = nullptr);

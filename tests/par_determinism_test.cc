@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <numeric>
 #include <random>
@@ -18,7 +19,9 @@
 #include "ml/extra_trees.h"
 #include "ml/gradient_boosting.h"
 #include "ml/random_forest.h"
+#include "ml/statistics.h"
 #include "par/thread_pool.h"
+#include "redundancy_reference.h"
 #include "skyline/layers.h"
 #include "skyline/preference.h"
 
@@ -208,6 +211,46 @@ TEST(ParDeterminism, GradientBoostingPredictionsIdentical) {
   options.num_rounds = 12;
   options.max_depth = 4;
   ExpectModelDeterministic<ml::GradientBoosting>(options, m, labels);
+}
+
+TEST(ParDeterminism, RedundancyMatrixIdenticalAcrossThreadCounts) {
+  // 40 columns (780 pairs), half of them noisy copies or monotone
+  // transforms of the other half, so both the MI and the Pearson term
+  // take part; every cell must memcmp-equal the frozen per-pair path.
+  ml::FeatureMatrix m = RandomMatrix(5000, 40, 79);
+  for (size_t r = 0; r < m.rows; ++r) {
+    double* row = m.Row(r);
+    for (size_t c = 20; c < 40; ++c) {
+      const double x = row[c - 20];
+      row[c] = c % 2 == 0 ? x * x + 0.05 * row[c] : 1.0 - x + 0.01 * row[c];
+    }
+  }
+  const std::vector<size_t> rows = AllRows(m);
+  const auto frozen_redundancy =
+      redundancy_reference::PairwiseRedundancy(m, rows, 0);
+  const auto frozen_nmi = redundancy_reference::PairwiseNormalizedMi(m, rows, 0);
+  const auto same = [](const std::vector<std::vector<double>>& a,
+                       const std::vector<std::vector<double>>& b) {
+    if (a.size() != b.size()) return false;
+    for (size_t i = 0; i < a.size(); ++i) {
+      if (a[i].size() != b[i].size() ||
+          std::memcmp(a[i].data(), b[i].data(),
+                      a[i].size() * sizeof(double)) != 0) {
+        return false;
+      }
+    }
+    return true;
+  };
+  for (const size_t threads : kThreadCounts) {
+    par::ThreadPool::SetGlobalThreads(threads);
+    for (int rep = 0; rep < 2; ++rep) {
+      EXPECT_TRUE(same(ml::PairwiseRedundancy(m, rows), frozen_redundancy))
+          << "redundancy diverged at threads=" << threads;
+      EXPECT_TRUE(same(ml::PairwiseNormalizedMi(m, rows), frozen_nmi))
+          << "nmi diverged at threads=" << threads;
+    }
+  }
+  par::ThreadPool::SetGlobalThreads(0);
 }
 
 }  // namespace

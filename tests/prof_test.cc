@@ -319,8 +319,8 @@ TEST_F(ProfTest, DroppedCountsOnlyTheDrainWindow) {
   profiler.RegisterCurrentThread();
   profiler.DiscardPending();
   // Lap this thread's ring without draining, so samples are lost before
-  // the windows under test. Thread CPU-time timers fire at most once per
-  // kernel tick, so this takes ~4 s of CPU at HZ=1000 and ~17 s at 250.
+  // the windows under test. Start clamps the rate to kMaxHz (250), so this
+  // takes ~17 s of CPU.
   const uint64_t overflow = prof::SampleRing().capacity() + 256;
   const uint64_t start = profiler.total_samples();
   const auto deadline =
@@ -372,6 +372,19 @@ TEST_F(ProfTest, StartIsIdempotentAndStopDisarms) {
   EXPECT_EQ(profiler.hz(), 100);
   profiler.Stop();
   EXPECT_FALSE(profiler.running());
+}
+
+TEST_F(ProfTest, StartClampsRateToTheKernelTick) {
+  // Thread CPU-time timers fire at most once per kernel tick, so a rate
+  // above kMaxHz would be reported but not delivered.
+  auto& profiler = prof::CpuProfiler::Global();
+  std::string error;
+  if (!profiler.Start(1000, &error)) {
+    GTEST_SKIP() << "profiler unavailable: " << error;
+  }
+  EXPECT_EQ(profiler.hz(), 250);
+  EXPECT_EQ(profiler.Drain().hz, 250);
+  profiler.Stop();
 }
 
 TEST_F(ProfTest, PhaseNamesAreStable) {
